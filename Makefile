@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-tensor bench-overlap bench-serve bench-load \
+.PHONY: build test race vet bench bench-tensor perfbench bench-overlap bench-serve bench-load \
 	bench-transport bench-fleet bench-e2e bench-e2e-smoke launch-smoke fleet-smoke ci \
 	sim-smoke sim-multi-seed sim-nondeterminism sim-import-export sim-transport
 
@@ -21,8 +21,11 @@ test:
 race:
 	$(GO) test -race ./internal/tensor ./internal/nn ./internal/mpi ./internal/horovod ./internal/candle ./internal/serve ./internal/dataload ./internal/transport ./internal/launch ./internal/fleet
 
+# The arm64 pass type-checks the non-amd64 stubs of the assembly
+# kernels, which an amd64-only vet never compiles.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Kernel and layer-step micro-benchmarks (the numbers recorded in
 # BENCH_tensor.json).
@@ -30,7 +33,15 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/tensor ./internal/nn
 
 bench-tensor:
-	$(GO) test -bench 'BenchmarkMatMul|BenchmarkTMatMul|BenchmarkDenseStep' -benchmem -run '^$$' ./internal/tensor ./internal/nn
+	$(GO) test -bench 'BenchmarkMatMul|BenchmarkTMatMul|BenchmarkDenseStep|BenchmarkConvStep' -benchmem -run '^$$' ./internal/tensor ./internal/nn
+
+# The repository benchmark (perfbench/README.md): one workload, one
+# seed, end-to-end metrics (TRACE=0) or per-layer metrics (TRACE=1).
+W ?= train-step
+SEED ?= 1
+TRACE ?= 0
+perfbench:
+	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 25 --trace $(TRACE)
 
 # Sync-vs-overlap per-step wall time under an injected collective
 # stall; regenerates BENCH_overlap.json.

@@ -584,7 +584,7 @@ func (b *Benchmark) runOnWorld(cfg RunConfig, world *mpi.World, forceResume, set
 		// epochs; its "final" loss is the checkpoint's.
 		if len(hist.Loss) > 0 {
 			res.FinalLoss = hist.Loss[len(hist.Loss)-1]
-			res.TrainAccuracy = hist.Acc[len(hist.Acc)-1]
+			res.TrainAccuracy = hist.Acc
 		}
 		if len(hist.ValLoss) > 0 {
 			res.ValLoss = hist.ValLoss[len(hist.ValLoss)-1]

@@ -90,6 +90,39 @@ func BenchmarkDenseStep(b *testing.B) {
 	}
 }
 
+// BenchmarkConvStep measures one f64 forward+backward through each of
+// the two NT3 Conv1D layers at the train-step shape: batch 20 of the
+// 403-feature signal, conv1 (16 filters, kernel 20, 1 channel: 384
+// output steps, k = 20) and conv2 on its 384×16 output (16 filters,
+// kernel 10: 375 output steps, k = 160).
+func BenchmarkConvStep(b *testing.B) {
+	for _, s := range []struct {
+		name                string
+		steps, inCh, kernel int
+	}{
+		{"NT3conv1_20x403_k20", 403, 1, 20},
+		{"NT3conv2_20x384x16_k10", 384, 16, 10},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(10))
+			c := NewConv1D(16, s.kernel, s.inCh)
+			if _, err := c.Build(rng, s.steps*s.inCh); err != nil {
+				b.Fatal(err)
+			}
+			x := tensor.RandNormal(rng, 20, s.steps*s.inCh, 1)
+			out := c.Forward(x, true)
+			dout := tensor.RandNormal(rng, out.Rows, out.Cols, 1)
+			c.Backward(dout)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Forward(x, true)
+				c.Backward(dout)
+			}
+		})
+	}
+}
+
 // BenchmarkDenseStep32 is the float32 column of BenchmarkDenseStep:
 // the same two Pilot1 shapes through the fused Dense+bias+relu f32
 // pass (packed kernels, f64 master weights, promoted gradients).

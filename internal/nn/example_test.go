@@ -32,7 +32,7 @@ func ExampleSequential() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("accuracy after %d epochs: %.2f\n", len(hist.Loss), hist.Acc[len(hist.Acc)-1])
+	fmt.Printf("accuracy after %d epochs: %.2f\n", len(hist.Loss), hist.Acc)
 	// Output:
 	// accuracy after 20 epochs: 1.00
 }

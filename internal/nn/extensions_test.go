@@ -202,6 +202,48 @@ func TestEarlyStoppingStopsFit(t *testing.T) {
 	}
 }
 
+// inferenceCounter is a pass-through layer that counts inference
+// (training=false) forward passes.
+type inferenceCounter struct {
+	Flatten
+	n int
+}
+
+func (c *inferenceCounter) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
+	if !training {
+		c.n++
+	}
+	return x
+}
+
+// TestFitMeasuresTrainAccuracyOnce: Fit evaluates the training set
+// once, after its last epoch — here an early stop — and History.Acc is
+// the accuracy of exactly those final weights.
+func TestFitMeasuresTrainAccuracyOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	x := tensor.RandNormal(rng, 16, 3, 1)
+	y := tensor.New(16, 2)
+	for i := 0; i < 16; i++ {
+		y.Set(i, i%2, 1)
+	}
+	counter := &inferenceCounter{}
+	m := buildModel(t, 3, CategoricalCrossEntropy{}, NewSGD(0), counter, NewDense(2), NewSoftmax())
+	es := NewEarlyStopping(2, 1e-12)
+	hist, err := m.Fit(x, y, FitConfig{Epochs: 20, BatchSize: 4, Callbacks: []Callback{es}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hist.Loss) >= 20 {
+		t.Fatalf("early stopping did not stop: ran %d epochs", len(hist.Loss))
+	}
+	if counter.n != 1 {
+		t.Fatalf("Fit ran %d inference passes over %d epochs, want 1", counter.n, len(hist.Loss))
+	}
+	if _, acc := m.Evaluate(x, y); hist.Acc != acc {
+		t.Fatalf("History.Acc = %v, final weights evaluate to %v", hist.Acc, acc)
+	}
+}
+
 func TestEarlyStoppingDoesNotStopImprovingRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	x := tensor.RandNormal(rng, 32, 3, 1)

@@ -84,7 +84,7 @@ func TestFusedLossTrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Accuracy over argmax of logits == argmax of probabilities.
-	if acc := hist.Acc[len(hist.Acc)-1]; acc < 0.95 {
+	if acc := hist.Acc; acc < 0.95 {
 		t.Fatalf("fused-loss accuracy %v", acc)
 	}
 }

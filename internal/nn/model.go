@@ -286,11 +286,14 @@ type FitConfig struct {
 	ValX, ValY *tensor.Matrix
 }
 
-// History records per-epoch training statistics, like the Keras
-// History object.
+// History records training statistics, like the Keras History object:
+// per-epoch losses and the final training accuracy.
 type History struct {
-	Loss    []float64 // mean training loss per epoch
-	Acc     []float64 // training accuracy per epoch (post-epoch eval)
+	Loss []float64 // mean training loss per epoch
+	// Acc is the training accuracy of the final weights, measured once
+	// after the last epoch (an early stop included); a per-epoch value
+	// would cost a forward pass over the whole training set per epoch.
+	Acc     float64
 	ValLoss []float64
 	ValAcc  []float64
 	Batches int // batch steps per epoch actually executed
@@ -377,8 +380,6 @@ func (s *Sequential) Fit(x, y *tensor.Matrix, cfg FitConfig) (*History, error) {
 		}
 		epochLoss /= float64(steps)
 		hist.Loss = append(hist.Loss, epochLoss)
-		_, acc := s.Evaluate(x, y)
-		hist.Acc = append(hist.Acc, acc)
 		if cfg.ValX != nil {
 			vl, va := s.Evaluate(cfg.ValX, cfg.ValY)
 			hist.ValLoss = append(hist.ValLoss, vl)
@@ -397,6 +398,7 @@ func (s *Sequential) Fit(x, y *tensor.Matrix, cfg FitConfig) (*History, error) {
 			break
 		}
 	}
+	_, hist.Acc = s.Evaluate(x, y)
 	for _, cb := range cfg.Callbacks {
 		cb.OnTrainEnd(s)
 	}

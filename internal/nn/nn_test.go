@@ -402,7 +402,7 @@ func TestFitLearnsSeparableClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hist.Acc[len(hist.Acc)-1]; got < 0.97 {
+	if got := hist.Acc; got < 0.97 {
 		t.Fatalf("final accuracy %v < 0.97", got)
 	}
 	if hist.Loss[len(hist.Loss)-1] >= hist.Loss[0] {

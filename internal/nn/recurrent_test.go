@@ -91,7 +91,7 @@ func TestLSTMLearnsOrderSensitiveTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := hist.Acc[len(hist.Acc)-1]; acc < 0.95 {
+	if acc := hist.Acc; acc < 0.95 {
 		t.Fatalf("LSTM accuracy %v on order task", acc)
 	}
 }
@@ -172,7 +172,7 @@ func TestEmbeddingLSTMPipelineLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := hist.Acc[len(hist.Acc)-1]; acc < 0.9 {
+	if acc := hist.Acc; acc < 0.9 {
 		t.Fatalf("embedding+LSTM accuracy %v", acc)
 	}
 }

@@ -299,6 +299,14 @@ func (s *Server) writeErr(w http.ResponseWriter, e *apiError) {
 func (s *Server) Serve(ln net.Listener) error {
 	srv := &http.Server{Handler: s.Handler()}
 	s.httpMu.Lock()
+	if s.draining.Load() {
+		// Shutdown already ran and found no http.Server to stop; serving
+		// now would never end. Shutdown sets draining before it takes
+		// httpMu, so checking under the lock closes the race.
+		s.httpMu.Unlock()
+		ln.Close()
+		return nil
+	}
 	s.httpSrv = srv
 	s.httpMu.Unlock()
 	err := srv.Serve(ln)

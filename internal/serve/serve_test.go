@@ -307,6 +307,38 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestServeAfterShutdownReturns: a Shutdown that lands before Serve
+// (a SIGTERM right after the server looked ready) must still end
+// Serve, which returns at once and releases the listener.
+func TestServeAfterShutdownReturns(t *testing.T) {
+	dir := t.TempDir()
+	writeCkpt(t, dir, 1, 42)
+	s := newTestServer(t, testConfig(dir))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Shutdown: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		ln.Close()
+		t.Fatal("Serve after Shutdown never returned")
+	}
+	if _, err := ln.Accept(); err == nil {
+		t.Fatal("listener still open after Serve returned")
+	}
+}
+
 // ---- HTTP tests ----------------------------------------------------
 
 func startHTTP(t *testing.T, s *Server) string {

@@ -2,11 +2,13 @@
 
 package tensor
 
-// Runtime AVX detection for the float32 micro-kernel. The baseline
-// amd64 target is SSE2-only, so the 8-lane kernel in avx_amd64.s is
+import "unsafe"
+
+// Runtime AVX detection for the register-tiled micro-kernels. The
+// baseline amd64 target is SSE2-only, so the tiles in avx_amd64.s are
 // gated on CPUID reporting AVX with OS-enabled YMM state (OSXSAVE set
 // and XCR0 covering XMM|YMM). Everything falls back to the portable
-// generic kernel in pack.go when the check fails.
+// generic micro4x in pack.go when the check fails.
 
 // cpuidex executes CPUID with the given leaf/subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -14,15 +16,24 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads XCR0, valid only when CPUID reports OSXSAVE.
 func xgetbv0() (eax, edx uint32)
 
-// avx4x16 accumulates a packed kw-deep panel into a 4×jv tile of the
-// output in 16-float column chunks: for jj in [0,jv) step 16,
-// o_r[jj+l] += ap[t*packMR+r] * bp[t*jstride+jj+l] for t in k-order.
-// Per-element semantics match micro4x exactly (one VMULPS + one VADDPS
-// per term, lanes independent), so results are bit-identical to the
-// scalar kernel. jv must be a positive multiple of 16 and kw ≥ 1.
+// avx4x8 accumulates a kw-deep product into the 4×jv float64 output
+// tile at o (row stride ldo):
+//
+//	o[r*ldo+j] += a[r*ars+t*aks] * b[t*ldb+j]   for t = 0..kw-1 in order
+//
+// with strides in elements. Per-element semantics match micro4x
+// exactly (one VMULPD and one VADDPD per term, lanes independent), so
+// results are bit-identical to the scalar kernel. jv must be a
+// positive multiple of 4 and kw ≥ 1.
 //
 //go:noescape
-func avx4x16(o0, o1, o2, o3, ap, bp *float32, kw, jv, jstride int)
+func avx4x8(o unsafe.Pointer, ldo int, a unsafe.Pointer, ars, aks int, b unsafe.Pointer, ldb, kw, jv int)
+
+// avx4x16 is the float32 form of avx4x8 (VMULPS, VADDPS); jv must be a
+// positive multiple of 8.
+//
+//go:noescape
+func avx4x16(o unsafe.Pointer, ldo int, a unsafe.Pointer, ars, aks int, b unsafe.Pointer, ldb, kw, jv int)
 
 // useAVX is a var, not a const, so tests can force the generic path.
 var useAVX = detectAVX()

@@ -2,9 +2,15 @@
 
 package tensor
 
+import "unsafe"
+
 // Non-amd64 targets always take the portable generic micro-kernel.
 var useAVX = false
 
-func avx4x16(o0, o1, o2, o3, ap, bp *float32, kw, jv, jstride int) {
+func avx4x8(o unsafe.Pointer, ldo int, a unsafe.Pointer, ars, aks int, b unsafe.Pointer, ldb, kw, jv int) {
+	panic("tensor: avx4x8 called without AVX support")
+}
+
+func avx4x16(o unsafe.Pointer, ldo int, a unsafe.Pointer, ars, aks int, b unsafe.Pointer, ldb, kw, jv int) {
 	panic("tensor: avx4x16 called without AVX support")
 }

@@ -5,38 +5,27 @@ import (
 	"unsafe"
 )
 
-// This file holds the matmul and transpose kernels. Each kernel comes
-// in a destination-passing Into form that writes a caller-owned matrix
-// (so steady-state training steps allocate nothing) plus the original
-// allocating form, now a thin wrapper. The matmul kernels are
-// cache-blocked — tiled over k and j with 4-way unrolled inner loops —
-// and split row ranges across the shared worker pool.
+// This file holds the float64 matmul and transpose entry points. Each
+// comes in a destination-passing Into form that writes a caller-owned
+// matrix (so steady-state training steps allocate nothing) plus the
+// original allocating form, now a thin wrapper. All three products run
+// on the packed register-tiled core in pack.go (shared with the float32
+// kernels), which splits row ranges across the shared worker pool.
 //
 // Accumulation order per output element is k-increasing with one
 // addition per term, identical to a naive triple loop, so results are
 // bit-exact against a serial reference on finite inputs.
 
-// Tile sizes, in elements. A k×j block of b spans matMulKC·matMulJC
-// float64s (1 MiB), sized to sit in a per-core L2/LLC slice while a row
-// range of the output streams against it.
-const (
-	matMulKC = 256
-	matMulJC = 512
-	// tMatMulIC bounds the dst rows live in one aᵀ·b accumulation
-	// sweep: 64×matMulJC float64s (256 KiB) of dst stay L2-resident
-	// while the k loop streams over a and b.
-	tMatMulIC = 64
-	// transposeBlock is the square tile edge for blocked transpose;
-	// 32×32 float64 tiles touch 32 cache lines each way.
-	transposeBlock = 32
-)
+// transposeBlock is the square tile edge for blocked transpose; a
+// 32×32 tile touches at most 32 cache lines each way.
+const transposeBlock = 32
 
 // sharesData reports whether the backing arrays of x and y overlap.
-func sharesData(x, y []float64) bool {
+func sharesData[T Float](x, y []T) bool {
 	if len(x) == 0 || len(y) == 0 {
 		return false
 	}
-	const w = unsafe.Sizeof(float64(0))
+	w := unsafe.Sizeof(x[0])
 	xs := uintptr(unsafe.Pointer(&x[0]))
 	ys := uintptr(unsafe.Pointer(&y[0]))
 	return xs < ys+uintptr(len(y))*w && ys < xs+uintptr(len(x))*w
@@ -65,69 +54,8 @@ func MatMulInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDst(dst, a.Rows, b.Cols, a, b, "MatMulInto")
-	if serialRows(a.Rows, a.Rows*a.Cols*b.Cols) {
-		matMulRange(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		matMulRange(dst, a, b, lo, hi)
-	})
-}
-
-// matMulRange computes rows [lo, hi) of dst = a·b with k/j tiling and
-// a 4-way unrolled axpy inner loop. For each k-tile the four active
-// rows of b are reused across the whole j-tile, and the chained
-// additions keep the per-element accumulation order identical to the
-// naive kernel.
-func matMulRange(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
-	k := a.Cols
-	for i := lo; i < hi; i++ {
-		row := dst.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	for jb := 0; jb < n; jb += matMulJC {
-		je := jb + matMulJC
-		if je > n {
-			je = n
-		}
-		for kb := 0; kb < k; kb += matMulKC {
-			ke := kb + matMulKC
-			if ke > k {
-				ke = k
-			}
-			for i := lo; i < hi; i++ {
-				arow := a.Row(i)
-				orow := dst.Row(i)[jb:je]
-				kk := kb
-				for ; kk+4 <= ke; kk += 4 {
-					a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-					if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-						continue
-					}
-					b0 := b.Data[kk*n+jb : kk*n+je]
-					b1 := b.Data[(kk+1)*n+jb:][:len(b0)]
-					b2 := b.Data[(kk+2)*n+jb:][:len(b0)]
-					b3 := b.Data[(kk+3)*n+jb:][:len(b0)]
-					for j, bv := range b0 {
-						orow[j] = orow[j] + a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
-					}
-				}
-				for ; kk < ke; kk++ {
-					av := arow[kk]
-					if av == 0 {
-						continue
-					}
-					brow := b.Data[kk*n+jb : kk*n+je]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
-				}
-			}
-		}
-	}
+	k, n := a.Cols, b.Cols
+	matMul(dst.Data, a.Data, k, 1, b.Data, n, 1, a.Rows, k, n, &panelPool64)
 }
 
 // MatMulT returns a·bᵀ without materializing the transpose.
@@ -138,53 +66,16 @@ func MatMulT(a, b *Matrix) *Matrix {
 }
 
 // MatMulTInto computes dst = a·bᵀ without allocating or materializing
-// the transpose. dst must be a.Rows×b.Rows and must not alias a or b.
+// the transpose: the packed kernel gathers each block of bᵀ into a
+// contiguous panel. dst must be a.Rows×b.Rows and must not alias a or
+// b.
 func MatMulTInto(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT dim mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDst(dst, a.Rows, b.Rows, a, b, "MatMulTInto")
-	if serialRows(a.Rows, a.Rows*a.Cols*b.Rows) {
-		matMulTRange(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) {
-		matMulTRange(dst, a, b, lo, hi)
-	})
-}
-
-// matMulTRange computes rows [lo, hi) of dst = a·bᵀ. Four output
-// columns (rows of b) are produced per pass over a row of a, each with
-// its own accumulator, so the row of a is loaded once per four dot
-// products and the accumulations stay independent and k-ordered.
-func matMulTRange(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		j := 0
-		for ; j+4 <= b.Rows; j += 4 {
-			b0 := b.Row(j)[:len(arow)]
-			b1 := b.Row(j + 1)[:len(arow)]
-			b2 := b.Row(j + 2)[:len(arow)]
-			b3 := b.Row(j + 3)[:len(arow)]
-			var s0, s1, s2, s3 float64
-			for kk, av := range arow {
-				s0 += av * b0[kk]
-				s1 += av * b1[kk]
-				s2 += av * b2[kk]
-				s3 += av * b3[kk]
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < b.Rows; j++ {
-			brow := b.Row(j)[:len(arow)]
-			s := 0.0
-			for kk, av := range arow {
-				s += av * brow[kk]
-			}
-			orow[j] = s
-		}
-	}
+	k, n := a.Cols, b.Rows
+	matMul(dst.Data, a.Data, k, 1, b.Data, 1, k, a.Rows, k, n, &panelPool64)
 }
 
 // TMatMul returns aᵀ·b without materializing the transpose.
@@ -194,89 +85,16 @@ func TMatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// tMatMul routes to the packed register-tiled kernel when the output
-// is wide enough to amortize panel packing. Narrow outputs (Conv1D
-// weight gradients: n = filters, often ≤ 64) keep the outer-product
-// kernel, whose zero skip exploits padded im2col patches.
-const (
-	tMatMulPackMinN = 64
-	tMatMulPackMinK = 8
-)
-
 // TMatMulInto computes dst = aᵀ·b without allocating or materializing
-// the transpose. dst must be a.Cols×b.Cols and must not alias a or b.
-// Wide products run on the packed kernel: the packing stage walks a
-// column-major into the same k-major panels MatMul packs its A strips
-// into, so the transpose costs one extra copy of each panel instead
-// of a strided inner loop.
+// the transpose: the tile walks a column-major through its strides.
+// dst must be a.Cols×b.Cols and must not alias a or b.
 func TMatMulInto(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: TMatMul dim mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	// Parallelize over output rows (a's columns) to keep writes disjoint.
 	checkDst(dst, a.Cols, b.Cols, a, b, "TMatMulInto")
-	packed := b.Cols >= tMatMulPackMinN && a.Rows >= tMatMulPackMinK
-	if serialRows(a.Cols, a.Rows*a.Cols*b.Cols) {
-		if packed {
-			pb := packPool64.Get().(*packBuf[float64])
-			matMulPackedRange(dst.Data, a.Data, 1, a.Cols, b.Data, a.Rows, b.Cols, 0, a.Cols, pb.a, pb.b)
-			packPool64.Put(pb)
-			return
-		}
-		tMatMulRange(dst, a, b, 0, a.Cols)
-		return
-	}
-	parallelRows(a.Cols, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		if packed {
-			pb := packPool64.Get().(*packBuf[float64])
-			matMulPackedRange(dst.Data, a.Data, 1, a.Cols, b.Data, a.Rows, b.Cols, lo, hi, pb.a, pb.b)
-			packPool64.Put(pb)
-			return
-		}
-		tMatMulRange(dst, a, b, lo, hi)
-	})
-}
-
-// tMatMulRange computes rows [lo, hi) of dst = aᵀ·b, tiled over both
-// i and j so the accumulated block of dst stays cache-resident across
-// the k sweep (dst can be far larger than cache — e.g. a 4096×1024
-// weight gradient). The zero skip on a's entries makes padded im2col
-// patch matrices (Conv1D "same" padding) cheaper without changing
-// finite results.
-func tMatMulRange(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
-	for i := lo; i < hi; i++ {
-		row := dst.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	for ib := lo; ib < hi; ib += tMatMulIC {
-		ie := ib + tMatMulIC
-		if ie > hi {
-			ie = hi
-		}
-		for jb := 0; jb < n; jb += matMulJC {
-			je := jb + matMulJC
-			if je > n {
-				je = n
-			}
-			for k := 0; k < a.Rows; k++ {
-				arow := a.Row(k)
-				brow := b.Data[k*n+jb : k*n+je]
-				for i := ib; i < ie; i++ {
-					av := arow[i]
-					if av == 0 {
-						continue
-					}
-					orow := dst.Row(i)[jb:je][:len(brow)]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
-				}
-			}
-		}
-	}
+	k, n := a.Rows, b.Cols
+	matMul(dst.Data, a.Data, 1, a.Cols, b.Data, n, 1, a.Cols, k, n, &panelPool64)
 }
 
 // Transpose returns a new matrix that is mᵀ.
@@ -293,33 +111,10 @@ func (m *Matrix) Transpose() *Matrix {
 func TransposeInto(dst, m *Matrix) {
 	checkDst(dst, m.Cols, m.Rows, m, nil, "TransposeInto")
 	if serialRows(m.Cols, m.Rows*m.Cols) {
-		transposeRange(dst, m, 0, m.Cols)
+		transposeRange(dst.Data, m.Data, m.Rows, m.Cols, 0, m.Cols)
 		return
 	}
 	parallelRows(m.Cols, m.Rows*m.Cols, func(lo, hi int) {
-		transposeRange(dst, m, lo, hi)
+		transposeRange(dst.Data, m.Data, m.Rows, m.Cols, lo, hi)
 	})
-}
-
-// transposeRange writes output rows [lo, hi) of dst = mᵀ in square
-// tiles.
-func transposeRange(dst, m *Matrix, lo, hi int) {
-	for ib := lo; ib < hi; ib += transposeBlock {
-		ie := ib + transposeBlock
-		if ie > hi {
-			ie = hi
-		}
-		for jb := 0; jb < m.Rows; jb += transposeBlock {
-			je := jb + transposeBlock
-			if je > m.Rows {
-				je = m.Rows
-			}
-			for j := jb; j < je; j++ {
-				row := m.Row(j)
-				for i := ib; i < ie; i++ {
-					dst.Data[i*m.Rows+j] = row[i]
-				}
-			}
-		}
-	}
 }

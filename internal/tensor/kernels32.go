@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"unsafe"
-)
+import "fmt"
 
 // Float32 entry points of the kernel set. All are destination-passing,
 // allocation-free warm (packing scratch is pooled), split across the
@@ -11,22 +8,11 @@ import (
 // naive float32 triple loop — accumulation per output element is
 // k-increasing with one addition per term.
 
-// sharesData32 reports whether the backing arrays of x and y overlap.
-func sharesData32(x, y []float32) bool {
-	if len(x) == 0 || len(y) == 0 {
-		return false
-	}
-	const w = unsafe.Sizeof(float32(0))
-	xs := uintptr(unsafe.Pointer(&x[0]))
-	ys := uintptr(unsafe.Pointer(&y[0]))
-	return xs < ys+uintptr(len(y))*w && ys < xs+uintptr(len(x))*w
-}
-
 func checkDst32(dst *Matrix32, rows, cols int, a, b *Matrix32, op string) {
 	if dst.Rows != rows || dst.Cols != cols {
 		panic(fmt.Sprintf("tensor: %s dst is %dx%d, want %dx%d", op, dst.Rows, dst.Cols, rows, cols))
 	}
-	if sharesData32(dst.Data, a.Data) || (b != nil && sharesData32(dst.Data, b.Data)) {
+	if sharesData(dst.Data, a.Data) || (b != nil && sharesData(dst.Data, b.Data)) {
 		panic(fmt.Sprintf("tensor: %s dst aliases an input", op))
 	}
 }
@@ -47,18 +33,7 @@ func MatMulInto32(dst, a, b *Matrix32) {
 	}
 	checkDst32(dst, a.Rows, b.Cols, a, b, "MatMulInto32")
 	k, n := a.Cols, b.Cols
-	work := a.Rows * k * n
-	if serialRows(a.Rows, work) {
-		pb := packPool32.Get().(*packBuf[float32])
-		matMulPackedRange32(dst.Data, a.Data, k, 1, b.Data, n, 1, k, n, 0, a.Rows, pb.a, pb.b)
-		packPool32.Put(pb)
-		return
-	}
-	parallelRows(a.Rows, work, func(lo, hi int) {
-		pb := packPool32.Get().(*packBuf[float32])
-		matMulPackedRange32(dst.Data, a.Data, k, 1, b.Data, n, 1, k, n, lo, hi, pb.a, pb.b)
-		packPool32.Put(pb)
-	})
+	matMul(dst.Data, a.Data, k, 1, b.Data, n, 1, a.Rows, k, n, &panelPool32)
 }
 
 // MatMulT32 returns a·bᵀ without materializing the transpose.
@@ -69,8 +44,8 @@ func MatMulT32(a, b *Matrix32) *Matrix32 {
 }
 
 // MatMulTInto32 computes dst = a·bᵀ without materializing the
-// transpose: the packed kernel's strided B walk absorbs it (B panel
-// rows are gathered column-major from b). dst must be a.Rows×b.Rows
+// transpose: the packed kernel gathers each block of bᵀ into a
+// contiguous panel. dst must be a.Rows×b.Rows
 // and must not alias a or b.
 func MatMulTInto32(dst, a, b *Matrix32) {
 	if a.Cols != b.Cols {
@@ -78,18 +53,7 @@ func MatMulTInto32(dst, a, b *Matrix32) {
 	}
 	checkDst32(dst, a.Rows, b.Rows, a, b, "MatMulTInto32")
 	k, n := a.Cols, b.Rows
-	work := a.Rows * k * n
-	if serialRows(a.Rows, work) {
-		pb := packPool32.Get().(*packBuf[float32])
-		matMulPackedRange32(dst.Data, a.Data, k, 1, b.Data, 1, k, k, n, 0, a.Rows, pb.a, pb.b)
-		packPool32.Put(pb)
-		return
-	}
-	parallelRows(a.Rows, work, func(lo, hi int) {
-		pb := packPool32.Get().(*packBuf[float32])
-		matMulPackedRange32(dst.Data, a.Data, k, 1, b.Data, 1, k, k, n, lo, hi, pb.a, pb.b)
-		packPool32.Put(pb)
-	})
+	matMul(dst.Data, a.Data, k, 1, b.Data, 1, k, a.Rows, k, n, &panelPool32)
 }
 
 // TMatMul32 returns aᵀ·b without materializing the transpose.
@@ -99,28 +63,16 @@ func TMatMul32(a, b *Matrix32) *Matrix32 {
 	return out
 }
 
-// TMatMulInto32 computes dst = aᵀ·b on the packed kernel: the packing
-// stage absorbs the transpose (A is walked column-major into the same
-// k-major panel layout), so the micro-kernel is identical to
-// MatMulInto32's. dst must be a.Cols×b.Cols and must not alias a or b.
+// TMatMulInto32 computes dst = aᵀ·b on the packed kernel, which walks
+// a column-major through its strides, so no transpose is materialized.
+// dst must be a.Cols×b.Cols and must not alias a or b.
 func TMatMulInto32(dst, a, b *Matrix32) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: TMatMul32 dim mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDst32(dst, a.Cols, b.Cols, a, b, "TMatMulInto32")
 	k, n := a.Rows, b.Cols
-	work := a.Rows * a.Cols * n
-	if serialRows(a.Cols, work) {
-		pb := packPool32.Get().(*packBuf[float32])
-		matMulPackedRange32(dst.Data, a.Data, 1, a.Cols, b.Data, n, 1, k, n, 0, a.Cols, pb.a, pb.b)
-		packPool32.Put(pb)
-		return
-	}
-	parallelRows(a.Cols, work, func(lo, hi int) {
-		pb := packPool32.Get().(*packBuf[float32])
-		matMulPackedRange32(dst.Data, a.Data, 1, a.Cols, b.Data, n, 1, k, n, lo, hi, pb.a, pb.b)
-		packPool32.Put(pb)
-	})
+	matMul(dst.Data, a.Data, 1, a.Cols, b.Data, n, 1, a.Cols, k, n, &panelPool32)
 }
 
 // Transpose32 returns a new matrix that is mᵀ.
@@ -135,10 +87,10 @@ func (m *Matrix32) Transpose() *Matrix32 {
 func TransposeInto32(dst, m *Matrix32) {
 	checkDst32(dst, m.Cols, m.Rows, m, nil, "TransposeInto32")
 	if serialRows(m.Cols, m.Rows*m.Cols) {
-		transposeRangeG(dst.Data, m.Data, m.Rows, m.Cols, 0, m.Cols)
+		transposeRange(dst.Data, m.Data, m.Rows, m.Cols, 0, m.Cols)
 		return
 	}
 	parallelRows(m.Cols, m.Rows*m.Cols, func(lo, hi int) {
-		transposeRangeG(dst.Data, m.Data, m.Rows, m.Cols, lo, hi)
+		transposeRange(dst.Data, m.Data, m.Rows, m.Cols, lo, hi)
 	})
 }

@@ -166,9 +166,9 @@ func TestKernels32RejectAliasedDst(t *testing.T) {
 	expectPanic(t, "wrong dst shape 32", func() { MatMulInto32(New32(4, 4), New32(4, 6), New32(6, 5)) })
 }
 
-// TestTMatMulPackedPathExact pins the f64 packed TMatMul route (wide
-// output, past the tMatMulPackMinN/K thresholds) against the naive
-// reference — the shape class the outer-product kernel was slow on.
+// TestTMatMulPackedPathExact pins f64 TMatMul at wide outputs and deep
+// k (several column and k blocks, packed A strips) against the naive
+// reference.
 func TestTMatMulPackedPathExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, s := range []struct{ rows, i, n int }{

@@ -109,9 +109,9 @@ func TestMatMulKernelsExactAgainstNaive(t *testing.T) {
 	}
 }
 
-// TestKernelsExactWithZeroRows drives the zero-skip fast paths: whole
-// zero rows, zero columns, and ReLU-style half-sparse inputs must not
-// change results relative to the naive reference.
+// TestKernelsExactWithZeroRows: whole zero rows, zero columns, and
+// ReLU-style half-sparse inputs must not change results relative to
+// the naive reference.
 func TestKernelsExactWithZeroRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := RandNormal(rng, 37, 301, 1)
@@ -128,6 +128,73 @@ func TestKernelsExactWithZeroRows(t *testing.T) {
 	mustEqual(t, "TMatMul/sparse", TMatMul(a.Transpose(), b), naiveTMatMul(a.Transpose(), b))
 	bt := RandNormal(rng, 50, 301, 1)
 	mustEqual(t, "MatMulT/sparse", MatMulT(a, bt), naiveMatMulT(a, bt))
+}
+
+// TestKernelsExactAVXAndGeneric pins all three orientations of the f64
+// packed kernel against the naive triple loop with the AVX tile on and
+// forced off, at the NT3 layer shapes (16 filters; k = 16, 20, 160),
+// widths that are not a multiple of the 8-column tile, row counts that
+// are not a multiple of the 4-row strip, k = 1, and the zero-padded
+// patch matrices of a "same" Conv1D. On hosts without AVX both passes
+// take the generic tile.
+func TestKernelsExactAVXAndGeneric(t *testing.T) {
+	defer func(v bool) { useAVX = v }(useAVX)
+	shapes := []struct{ m, k, n int }{
+		{384, 20, 16},  // NT3 conv1 forward: patches · w
+		{375, 160, 16}, // NT3 conv2 forward
+		{384, 16, 20},  // NT3 conv1 patch gradient: dflat · wᵀ
+		{375, 16, 160}, // NT3 conv2 patch gradient
+		{20, 384, 16},  // NT3 conv1 weight gradient: patchesᵀ · dflat
+		{7, 13, 11},    // ragged rows, ragged width
+		{9, 33, 30},    // one full tile chunk, a half chunk, a scalar tail
+		{6, 5, 12},
+		{13, 1, 21}, // k = 1
+		{8, 1, 8},
+		{3, 1, 4},      // fewer rows than one strip
+		{5, 300, 1030}, // wide output: packed B and A panels
+	}
+	for _, avx := range []bool{hostAVX, false} {
+		useAVX = avx
+		rng := rand.New(rand.NewSource(14))
+		for _, s := range shapes {
+			a := RandNormal(rng, s.m, s.k, 1)
+			b := RandNormal(rng, s.k, s.n, 1)
+			mustEqual(t, "MatMul", MatMul(a, b), naiveMatMul(a, b))
+			bt := RandNormal(rng, s.n, s.k, 1)
+			mustEqual(t, "MatMulT", MatMulT(a, bt), naiveMatMulT(a, bt))
+			at := RandNormal(rng, s.k, s.m, 1)
+			mustEqual(t, "TMatMul", TMatMul(at, b), naiveTMatMul(at, b))
+		}
+		// A "same" Conv1D over a 2×23-step, 3-channel signal with a
+		// 6-wide kernel: the padded windows leave zero runs in the
+		// patch matrix, which all three products of a layer step see.
+		const batch, steps, inCh, kernel, filters = 2, 23, 3, 6, 16
+		patches := samePatches(RandNormal(rng, batch, steps*inCh, 1), steps, inCh, kernel)
+		w := RandNormal(rng, kernel*inCh, filters, 1)
+		dflat := RandNormal(rng, batch*steps, filters, 1)
+		mustEqual(t, "conv forward", MatMul(patches, w), naiveMatMul(patches, w))
+		mustEqual(t, "conv weight grad", TMatMul(patches, dflat), naiveTMatMul(patches, dflat))
+		mustEqual(t, "conv patch grad", MatMulT(dflat, w), naiveMatMulT(dflat, w))
+	}
+}
+
+// samePatches is the im2col matrix of a stride-1 "same" Conv1D: one
+// row per (sample, output step), kernel·inCh wide, zero where the
+// window hangs over either end of the signal.
+func samePatches(x *Matrix, steps, inCh, kernel int) *Matrix {
+	padLeft := (kernel - 1) / 2
+	p := New(x.Rows*steps, kernel*inCh)
+	for r := 0; r < x.Rows; r++ {
+		for s := 0; s < steps; s++ {
+			prow := p.Row(r*steps + s)
+			for kk := 0; kk < kernel; kk++ {
+				if step := s - padLeft + kk; step >= 0 && step < steps {
+					copy(prow[kk*inCh:(kk+1)*inCh], x.Row(r)[step*inCh:(step+1)*inCh])
+				}
+			}
+		}
+	}
+	return p
 }
 
 // TestIntoKernelsOverwriteDst proves Into kernels fully overwrite a

@@ -1,222 +1,189 @@
 package tensor
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
-// This file is the second-generation matmul core shared by both
-// precisions: a generic (float32/float64) cache-blocked kernel that
-// packs A and B panels into contiguous scratch buffers and drives them
-// with a register-tiled micro-kernel.
+// This file is the matmul core shared by both precisions and all three
+// orientations (a·b, a·bᵀ, aᵀ·b): one generic (float32/float64)
+// cache-blocked range function driving a 4-row register-tiled
+// micro-kernel.
 //
-// Layout. The output is computed in jb×kb blocks (packNC × packKC);
-// for each block the kw rows of B are copied into a contiguous kw×jw
-// panel (bPack), and each 4-row strip of A is packed k-major into an
-// interleaved panel (aPack[t*4+r] = A[i+r, kb+t]) so the micro-kernel
-// reads both operands as unit-stride streams regardless of A's
-// original orientation — the same packing serves A and Aᵀ, which is
-// how TMatMulInto shares the kernel.
+// Strides. A entries are addressed as a[i*aRow + k*aCol] and B entries
+// as b[k*bRow + j*bCol], so (cols, 1) walks a row-major operand and
+// (1, cols) walks its transpose without materializing it. The tile
+// reads A through its strides — four scalars per k step, each
+// broadcast across a row — and reads B in place as well when B is
+// row-major and no wider than one column block. Only the rest is
+// packed, one block at a time, into pooled scratch sized to that block
+// (matMulRange says when).
 //
-// Micro-kernel. Each call produces a 4×jw strip of the output: the
-// k-loop is unrolled 4-way, the four active B rows are register-tiled
-// against four A scalars per row (16 multiply-adds per B load quad),
-// and each output element is updated with explicit left-associated
-// additions in k-increasing order — bit-exact against the naive
-// triple loop, like every kernel in this package.
+// Blocking. The output is computed in packNC-wide column blocks and
+// packKC-deep k blocks; within a block every 4-row output strip runs
+// the tile against the same B block, which stays cache-resident.
 //
-// A entries are addressed as data[i*rowStride + k*colStride], so
-// (cols, 1) walks a row-major A and (1, cols) walks its transpose
-// without materializing it.
+// Micro-kernel. A full 4-row strip goes to the AVX tile of its
+// precision (avx_amd64.s) when the host has AVX, with micro4x finishing
+// the columns the vector width cannot cover; ragged strips take
+// micro1x. Every route updates each output element with one multiply
+// and one left-associated add per k term, in k-increasing order, so
+// the result is bit-exact against the naive triple loop whichever
+// route a strip takes.
 
 const (
 	// packMR is the micro-kernel's output strip height.
 	packMR = 4
-	// packKC and packNC are the k/j block edges; one packed B panel
-	// spans packKC·packNC scalars (1 MiB f64, 512 KiB f32), sized to
-	// sit in a per-core L2/LLC slice while output strips stream by.
+	// packKC and packNC are the k/j block edges. A B block spans at
+	// most packKC·packNC scalars (1 MiB f64, 512 KiB f32), sized to sit
+	// in a per-core L2/LLC slice while output strips stream by.
 	packKC = 256
 	packNC = 512
-)
-
-// packBuf is one worker's packing scratch; pooled so warmed kernels
-// allocate nothing.
-type packBuf[T Float] struct {
-	a []T // packMR×packKC interleaved A strip
-	b []T // packKC×packNC contiguous B panel
-}
-
-var (
-	packPool64 = sync.Pool{New: func() any {
-		return &packBuf[float64]{a: make([]float64, packMR*packKC), b: make([]float64, packKC*packNC)}
-	}}
-	packPool32 = sync.Pool{New: func() any {
-		return &packBuf[float32]{a: make([]float32, packMR*packKC), b: make([]float32, packKC*packNC)}
-	}}
+	// panelPad widens each packed B row by a cache line or two so the
+	// tile's k sweep down one column chunk does not map every row to
+	// the same few L1 sets, as a power-of-two row stride would.
+	panelPad = 16
 )
 
 // Float is the scalar constraint shared by the generic kernels.
 type Float interface{ ~float32 | ~float64 }
 
-// matMulPackedRange computes rows [lo, hi) of the n-wide output
-// dst = A·B, where A is addressed through (aRow, aCol) strides and B
-// is row-major with stride n. k is the inner dimension. aPack/bPack
-// are the caller's packing scratch (packMR×packKC and packKC×packNC).
-func matMulPackedRange[T Float](dst []T, a []T, aRow, aCol int, b []T, k, n, lo, hi int, aPack, bPack []T) {
-	for i := lo; i < hi; i++ {
-		row := dst[i*n : i*n+n]
-		for j := range row {
-			row[j] = 0
-		}
+// Pools of *[]T packing scratch, one per precision. A buffer grows to
+// the largest A strip plus B block it has served, so warmed kernels
+// allocate nothing and small products never hold a full-block panel.
+var (
+	panelPool64 = sync.Pool{New: func() any { return new([]float64) }}
+	panelPool32 = sync.Pool{New: func() any { return new([]float32) }}
+)
+
+// matMul computes all m rows of the n-wide dst = A·B (k the inner
+// dimension), split across the shared worker pool. panels supplies the
+// packing scratch for the operands matMulRange cannot stream in place.
+func matMul[T Float](dst, a []T, aRow, aCol int, b []T, bRow, bCol, m, k, n int, panels *sync.Pool) {
+	if serialRows(m, m*k*n) {
+		matMulRange(dst, a, aRow, aCol, b, bRow, bCol, k, n, 0, m, panels)
+		return
 	}
-	for jb := 0; jb < n; jb += packNC {
-		je := jb + packNC
-		if je > n {
-			je = n
-		}
-		jw := je - jb
-		for kb := 0; kb < k; kb += packKC {
-			ke := kb + packKC
-			if ke > k {
-				ke = k
-			}
-			kw := ke - kb
-			// Pack the B block: kw contiguous jw-wide rows.
-			for t := 0; t < kw; t++ {
-				copy(bPack[t*jw:t*jw+jw], b[(kb+t)*n+jb:(kb+t)*n+je])
-			}
-			for i := lo; i < hi; i += packMR {
-				mr := hi - i
-				if mr > packMR {
-					mr = packMR
-				}
-				// Pack the A strip k-major: aPack[t*4+r] = A[i+r, kb+t].
-				for r := 0; r < mr; r++ {
-					base := (i + r) * aRow
-					for t := 0; t < kw; t++ {
-						aPack[t*packMR+r] = a[base+(kb+t)*aCol]
-					}
-				}
-				if mr == packMR {
-					micro4x(dst[i*n+jb:][:jw], dst[(i+1)*n+jb:][:jw],
-						dst[(i+2)*n+jb:][:jw], dst[(i+3)*n+jb:][:jw],
-						aPack, bPack, kw, jw)
-				} else {
-					for r := 0; r < mr; r++ {
-						micro1x(dst[(i+r)*n+jb:][:jw], aPack, r, bPack, kw, jw)
-					}
-				}
-			}
-		}
-	}
+	parallelRows(m, m*k*n, func(lo, hi int) {
+		matMulRange(dst, a, aRow, aCol, b, bRow, bCol, k, n, lo, hi, panels)
+	})
 }
 
-// matMulPackedRange32 is the float32 form of matMulPackedRange with
-// two extra powers: B is addressed through (bRow, bCol) strides like A
-// — (n, 1) walks a row-major B, (1, ldb) walks its transpose, which is
-// how MatMulTInto32 shares this kernel — and full 4-row strips
-// dispatch to the 8-lane AVX micro-kernel when the host supports it.
-// The AVX tile computes bitwise-identical results to micro4x (one
-// multiply and one left-associated add per k term, lanes independent),
-// so the route taken never changes the output.
-func matMulPackedRange32(dst []float32, a []float32, aRow, aCol int, b []float32, bRow, bCol int, k, n, lo, hi int, aPack, bPack []float32) {
+// matMulRange computes rows [lo, hi) of the n-wide output dst = A·B.
+func matMulRange[T Float](dst, a []T, aRow, aCol int, b []T, bRow, bCol, k, n, lo, hi int, panels *sync.Pool) {
 	for i := lo; i < hi; i++ {
-		row := dst[i*n : i*n+n]
-		for j := range row {
-			row[j] = 0
+		clear(dst[i*n : i*n+n])
+	}
+	if k == 0 || n == 0 || lo == hi {
+		return
+	}
+	// A row-major B no wider than one column block already is the
+	// contiguous kw×jw panel the tile streams; anything else is packed.
+	// A transposed A strip is packed only under a wide output, where the
+	// tile re-reads it across many column chunks; under the narrow
+	// outputs of layer steps, packing it costs more than it saves.
+	wide := n > packNC
+	packB := bCol != 1 || wide
+	packA := aCol != 1 && wide
+	var bPanel, aPanel []T
+	if packB || packA {
+		kc := min(k, packKC)
+		need := packMR*kc + kc*(min(n, packNC)+panelPad)
+		p := panels.Get().(*[]T)
+		if cap(*p) < need {
+			*p = make([]T, need)
 		}
+		defer panels.Put(p)
+		aPanel, bPanel = (*p)[:packMR*kc], (*p)[packMR*kc:need]
 	}
 	for jb := 0; jb < n; jb += packNC {
-		je := jb + packNC
-		if je > n {
-			je = n
-		}
-		jw := je - jb
+		jw := min(packNC, n-jb)
 		for kb := 0; kb < k; kb += packKC {
-			ke := kb + packKC
-			if ke > k {
-				ke = k
-			}
-			kw := ke - kb
-			// Pack the B block: kw contiguous jw-wide rows.
-			for t := 0; t < kw; t++ {
-				if bCol == 1 {
-					src := (kb+t)*bRow + jb
-					copy(bPack[t*jw:t*jw+jw], b[src:src+jw])
-				} else {
-					base := (kb + t) * bRow
-					dstRow := bPack[t*jw : t*jw+jw]
-					for j := range dstRow {
-						dstRow[j] = b[base+(jb+j)*bCol]
+			kw := min(packKC, k-kb)
+			bp, ldb := b[kb*bRow+jb*bCol:], bRow
+			if packB {
+				bp, ldb = bPanel, jw+panelPad
+				for t := 0; t < kw; t++ {
+					row := bp[t*ldb : t*ldb+jw]
+					src := (kb+t)*bRow + jb*bCol
+					if bCol == 1 {
+						copy(row, b[src:src+jw])
+						continue
+					}
+					for j := range row {
+						row[j] = b[src+j*bCol]
 					}
 				}
 			}
-			for i := lo; i < hi; i += packMR {
-				mr := hi - i
-				if mr > packMR {
-					mr = packMR
-				}
-				for r := 0; r < mr; r++ {
-					base := (i + r) * aRow
+			i := lo
+			for ; i+packMR <= hi; i += packMR {
+				o := dst[i*n+jb:]
+				ap, ars, aks := a[i*aRow+kb*aCol:], aRow, aCol
+				if packA {
 					for t := 0; t < kw; t++ {
-						aPack[t*packMR+r] = a[base+(kb+t)*aCol]
-					}
-				}
-				if mr == packMR {
-					o0 := dst[i*n+jb:][:jw]
-					o1 := dst[(i+1)*n+jb:][:jw]
-					o2 := dst[(i+2)*n+jb:][:jw]
-					o3 := dst[(i+3)*n+jb:][:jw]
-					if useAVX && jw >= 16 {
-						jv := jw &^ 15
-						avx4x16(&o0[0], &o1[0], &o2[0], &o3[0], &aPack[0], &bPack[0], kw, jv, jw)
-						if jv < jw {
-							micro4xTail32(o0, o1, o2, o3, aPack, bPack, kw, jv, jw)
+						for r := 0; r < packMR; r++ {
+							aPanel[t*packMR+r] = ap[r*aRow+t*aCol]
 						}
-					} else {
-						micro4x(o0, o1, o2, o3, aPack, bPack, kw, jw)
 					}
-				} else {
-					for r := 0; r < mr; r++ {
-						micro1x(dst[(i+r)*n+jb:][:jw], aPack, r, bPack, kw, jw)
-					}
+					ap, ars, aks = aPanel, 1, packMR
 				}
+				jv := 0
+				if useAVX {
+					jv = avxTile(o, n, ap, ars, aks, bp, ldb, kw, jw)
+				}
+				if jv < jw {
+					micro4x(o, n, ap, ars, aks, bp, ldb, kw, jv, jw)
+				}
+			}
+			for ; i < hi; i++ {
+				micro1x(dst[i*n+jb:][:jw], a[i*aRow+kb*aCol:], aCol, bp, ldb, kw)
 			}
 		}
 	}
 }
 
-// micro4xTail32 finishes the ragged column tail [jv, jw) that the
-// 16-wide AVX tile cannot cover, in the same per-element k-order.
-func micro4xTail32(o0, o1, o2, o3, aPack, bPack []float32, kw, jv, jw int) {
-	for t := 0; t < kw; t++ {
-		ap := aPack[t*packMR : t*packMR+packMR]
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		brow := bPack[t*jw : t*jw+jw]
-		for j := jv; j < jw; j++ {
-			bv := brow[j]
-			o0[j] = o0[j] + a0*bv
-			o1[j] = o1[j] + a1*bv
-			o2[j] = o2[j] + a2*bv
-			o3[j] = o3[j] + a3*bv
+// avxTile runs the AVX tile of T's precision over the widest prefix of
+// the jw columns its vector width covers and returns that width.
+func avxTile[T Float](o []T, ldo int, a []T, ars, aks int, b []T, ldb, kw, jw int) int {
+	if unsafe.Sizeof(o[0]) == 8 {
+		jv := jw &^ 3
+		if jv > 0 {
+			avx4x8(unsafe.Pointer(&o[0]), ldo, unsafe.Pointer(&a[0]), ars, aks, unsafe.Pointer(&b[0]), ldb, kw, jv)
 		}
+		return jv
 	}
+	jv := jw &^ 7
+	if jv > 0 {
+		avx4x16(unsafe.Pointer(&o[0]), ldo, unsafe.Pointer(&a[0]), ars, aks, unsafe.Pointer(&b[0]), ldb, kw, jv)
+	}
+	return jv
 }
 
-// micro4x accumulates a packed kw-deep panel into four output rows.
-// The k-loop is unrolled 4-way; per iteration the four B rows are
-// loaded once and reused across all four output rows (16 multiply-adds
-// per 4 B loads). Additions are explicit and left-associated so each
+// micro4x accumulates a kw-deep product into columns [jv, jw) of the
+// four output rows o[r*ldo:], with A entry (r, t) at a[r*ars+t*aks]
+// and B row t at b[t*ldb:]. The k-loop is unrolled 4-way; per
+// iteration the four B rows are loaded once and reused across all four
+// output rows. Additions are explicit and left-associated so each
 // output element accumulates in exactly naive k-order.
-func micro4x[T Float](o0, o1, o2, o3 []T, aPack []T, bPack []T, kw, jw int) {
+func micro4x[T Float](o []T, ldo int, a []T, ars, aks int, b []T, ldb, kw, jv, jw int) {
+	o0 := o[jv:jw]
+	o1 := o[ldo+jv:][:len(o0)]
+	o2 := o[2*ldo+jv:][:len(o0)]
+	o3 := o[3*ldo+jv:][:len(o0)]
 	kk := 0
 	for ; kk+4 <= kw; kk += 4 {
-		ap := aPack[kk*packMR : kk*packMR+16]
-		a00, a10, a20, a30 := ap[0], ap[1], ap[2], ap[3]
-		a01, a11, a21, a31 := ap[4], ap[5], ap[6], ap[7]
-		a02, a12, a22, a32 := ap[8], ap[9], ap[10], ap[11]
-		a03, a13, a23, a33 := ap[12], ap[13], ap[14], ap[15]
-		b0 := bPack[kk*jw : kk*jw+jw]
-		b1 := bPack[(kk+1)*jw:][:jw]
-		b2 := bPack[(kk+2)*jw:][:jw]
-		b3 := bPack[(kk+3)*jw:][:jw]
+		t := kk * aks
+		a00, a10, a20, a30 := a[t], a[t+ars], a[t+2*ars], a[t+3*ars]
+		t += aks
+		a01, a11, a21, a31 := a[t], a[t+ars], a[t+2*ars], a[t+3*ars]
+		t += aks
+		a02, a12, a22, a32 := a[t], a[t+ars], a[t+2*ars], a[t+3*ars]
+		t += aks
+		a03, a13, a23, a33 := a[t], a[t+ars], a[t+2*ars], a[t+3*ars]
+		b0 := b[kk*ldb+jv:][:len(o0)]
+		b1 := b[(kk+1)*ldb+jv:][:len(o0)]
+		b2 := b[(kk+2)*ldb+jv:][:len(o0)]
+		b3 := b[(kk+3)*ldb+jv:][:len(o0)]
 		for j, bv0 := range b0 {
 			bv1, bv2, bv3 := b1[j], b2[j], b3[j]
 			o0[j] = o0[j] + a00*bv0 + a01*bv1 + a02*bv2 + a03*bv3
@@ -226,9 +193,9 @@ func micro4x[T Float](o0, o1, o2, o3 []T, aPack []T, bPack []T, kw, jw int) {
 		}
 	}
 	for ; kk < kw; kk++ {
-		ap := aPack[kk*packMR : kk*packMR+packMR]
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		brow := bPack[kk*jw : kk*jw+jw]
+		t := kk * aks
+		a0, a1, a2, a3 := a[t], a[t+ars], a[t+2*ars], a[t+3*ars]
+		brow := b[kk*ldb+jv:][:len(o0)]
 		for j, bv := range brow {
 			o0[j] = o0[j] + a0*bv
 			o1[j] = o1[j] + a1*bv
@@ -238,81 +205,36 @@ func micro4x[T Float](o0, o1, o2, o3 []T, aPack []T, bPack []T, kw, jw int) {
 	}
 }
 
-// micro1x is the ragged-strip variant of micro4x: one output row, lane
-// r of the packed A strip.
-func micro1x[T Float](o []T, aPack []T, r int, bPack []T, kw, jw int) {
+// micro1x is the ragged-strip variant of micro4x: one output row o,
+// whose A entries are a[t*aks].
+func micro1x[T Float](o []T, a []T, aks int, b []T, ldb, kw int) {
 	kk := 0
 	for ; kk+4 <= kw; kk += 4 {
-		a0 := aPack[kk*packMR+r]
-		a1 := aPack[(kk+1)*packMR+r]
-		a2 := aPack[(kk+2)*packMR+r]
-		a3 := aPack[(kk+3)*packMR+r]
-		b0 := bPack[kk*jw : kk*jw+jw]
-		b1 := bPack[(kk+1)*jw:][:jw]
-		b2 := bPack[(kk+2)*jw:][:jw]
-		b3 := bPack[(kk+3)*jw:][:jw]
+		a0, a1, a2, a3 := a[kk*aks], a[(kk+1)*aks], a[(kk+2)*aks], a[(kk+3)*aks]
+		b0 := b[kk*ldb:][:len(o)]
+		b1 := b[(kk+1)*ldb:][:len(o)]
+		b2 := b[(kk+2)*ldb:][:len(o)]
+		b3 := b[(kk+3)*ldb:][:len(o)]
 		for j, bv0 := range b0 {
 			o[j] = o[j] + a0*bv0 + a1*b1[j] + a2*b2[j] + a3*b3[j]
 		}
 	}
 	for ; kk < kw; kk++ {
-		av := aPack[kk*packMR+r]
-		if av == 0 {
-			continue
-		}
-		brow := bPack[kk*jw : kk*jw+jw]
+		av := a[kk*aks]
+		brow := b[kk*ldb:][:len(o)]
 		for j, bv := range brow {
 			o[j] = o[j] + av*bv
 		}
 	}
 }
 
-// matMulTRangeG is the generic a·bᵀ range kernel (dot-product
-// structure, four output columns per pass over a row of a), shared by
-// the f32 and f64 MatMulT entry points.
-func matMulTRangeG[T Float](dst, a, b []T, k, bRows, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : i*k+k]
-		orow := dst[i*bRows : i*bRows+bRows]
-		j := 0
-		for ; j+4 <= bRows; j += 4 {
-			b0 := b[j*k : j*k+k]
-			b1 := b[(j+1)*k:][:k]
-			b2 := b[(j+2)*k:][:k]
-			b3 := b[(j+3)*k:][:k]
-			var s0, s1, s2, s3 T
-			for kk, av := range arow {
-				s0 = s0 + av*b0[kk]
-				s1 = s1 + av*b1[kk]
-				s2 = s2 + av*b2[kk]
-				s3 = s3 + av*b3[kk]
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < bRows; j++ {
-			brow := b[j*k : j*k+k]
-			var s T
-			for kk, av := range arow {
-				s = s + av*brow[kk]
-			}
-			orow[j] = s
-		}
-	}
-}
-
-// transposeRangeG writes output rows [lo, hi) of dst = mᵀ in square
-// tiles, generically over the element type. rows×cols is m's shape.
-func transposeRangeG[T Float](dst, m []T, rows, cols, lo, hi int) {
+// transposeRange writes output rows [lo, hi) of dst = mᵀ in square
+// tiles. rows×cols is m's shape.
+func transposeRange[T Float](dst, m []T, rows, cols, lo, hi int) {
 	for ib := lo; ib < hi; ib += transposeBlock {
-		ie := ib + transposeBlock
-		if ie > hi {
-			ie = hi
-		}
+		ie := min(ib+transposeBlock, hi)
 		for jb := 0; jb < rows; jb += transposeBlock {
-			je := jb + transposeBlock
-			if je > rows {
-				je = rows
-			}
+			je := min(jb+transposeBlock, rows)
 			for j := jb; j < je; j++ {
 				row := m[j*cols : j*cols+cols]
 				for i := ib; i < ie; i++ {
